@@ -64,8 +64,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import knobs
 from repro.hashring import ConsistentRing
+from repro.service import httpio
 from repro.service.protocol import ValidationError, job_key, validate_job
-from repro.service.server import MAX_BODY_BYTES, ServiceServer
 from repro.telemetry import MetricsRegistry
 from repro.telemetry import trace as tracing
 from repro.telemetry.export import to_prometheus
@@ -396,10 +396,12 @@ class Balancer:
         if len(parts) < 2 or not parts[1].isdigit():
             raise ConnectionError(f"bad status line from {replica.name}")
         status = int(parts[1])
-        resp_headers = await ServiceServer._read_headers(upstream.reader)
+        resp_headers = await httpio.read_headers(upstream.reader)
         if resp_headers is None:
             raise ConnectionError(f"truncated response from {replica.name}")
-        length = int(resp_headers.get("content-length", "0") or 0)
+        length = httpio.content_length(resp_headers)
+        if length is None:
+            raise ConnectionError(f"bad Content-Length from {replica.name}")
         data = await upstream.reader.readexactly(length) if length else b""
         try:
             payload = json.loads(data) if data else None
@@ -521,68 +523,15 @@ class Balancer:
     # request handling ------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if not line.strip():
-                    if not line:
-                        break
-                    continue
-                parts = line.decode("latin-1").split()
-                if len(parts) != 3:
-                    await ServiceServer._respond(
-                        writer, 400, {"error": "bad request line"}
-                    )
-                    break
-                method, target, version = parts
-                headers = await ServiceServer._read_headers(reader)
-                if headers is None:
-                    break
-                length = int(headers.get("content-length", "0") or 0)
-                if length > MAX_BODY_BYTES:
-                    await ServiceServer._respond(
-                        writer, 400, {"error": "body too large"}
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
-                try:
-                    status, payload, extra = await self._route(
-                        method.upper(), target, body, headers
-                    )
-                except Exception as exc:  # noqa: BLE001 - last-resort 500
-                    status, payload, extra = (
-                        500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                        [],
-                    )
-                close = (
-                    headers.get("connection", "").lower() == "close"
-                    or version == "HTTP/1.0"
-                )
-                await ServiceServer._respond(
-                    writer, status, payload, extra, close
-                )
-                if close:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            # A torn client connection ends this keep-alive session only;
-            # the counter keeps churn visible in the balancer's /metrics.
-            self.registry.inc("balance.connection_errors")
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer already gone
-                pass
+        await httpio.serve_connection(
+            reader,
+            writer,
+            self._route,
+            self.registry,
+            "balance.connection_errors",
+            self.idle_timeout,
+            self._connections,
+        )
 
     async def _route(
         self, method: str, target: str, body: bytes, headers: dict[str, str]
@@ -631,7 +580,7 @@ class Balancer:
             }, []
         if path == "/metrics" and method == "GET":
             tree = self._metrics()
-            if ServiceServer._wants_prometheus(query, headers):
+            if httpio.wants_prometheus(query, headers):
                 return 200, to_prometheus(tree), []
             return 200, tree, []
         if path == "/v1/jobs" and method == "POST":

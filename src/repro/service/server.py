@@ -1,8 +1,8 @@
 """The asyncio HTTP/JSON front-end: ``repro serve``.
 
-A deliberately small, dependency-free HTTP/1.1 server over
-``asyncio.start_server`` — request line + headers + ``Content-Length``
-body, keep-alive connections, JSON in and out.  All simulation work goes
+``asyncio.start_server`` plus the keep-alive loop it shares with the
+balancer (:mod:`repro.service.httpio`): JSON in and out, a malformed
+request answered with 400.  All simulation work goes
 through the :class:`~repro.service.scheduler.JobScheduler`; the server
 only translates HTTP into scheduler calls and job states into status
 codes:
@@ -50,26 +50,12 @@ import time
 from urllib.parse import parse_qs, urlsplit
 
 from repro.faults import FaultInjected
+from repro.service import httpio
 from repro.service.protocol import ValidationError
 from repro.service.scheduler import Draining, JobScheduler, QueueFull
 from repro.telemetry import timeline
 from repro.telemetry import trace as tracing
 from repro.telemetry.export import to_prometheus
-
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-#: Largest request body accepted (a batch of a few thousand specs).
-MAX_BODY_BYTES = 4 * 1024 * 1024
-
 
 class ServiceServer:
     """One listening service instance around a :class:`JobScheduler`."""
@@ -145,116 +131,31 @@ class ServiceServer:
     # connection handling ---------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self.idle_timeout
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if not line.strip():
-                    if not line:
-                        break  # peer closed
-                    continue
-                parts = line.decode("latin-1").split()
-                if len(parts) != 3:
-                    await self._respond(writer, 400, {"error": "bad request line"})
-                    break
-                method, target, version = parts
-                headers = await self._read_headers(reader)
-                if headers is None:
-                    break
-                body = b""
-                length = int(headers.get("content-length", "0") or 0)
-                if length > MAX_BODY_BYTES:
-                    await self._respond(writer, 400, {"error": "body too large"})
-                    break
-                if length:
-                    body = await reader.readexactly(length)
-                started = time.monotonic()
-                try:
-                    status, payload, extra = await self._route(
-                        method.upper(), target, body, headers
-                    )
-                except Exception as exc:  # noqa: BLE001 - last-resort 500
-                    status, payload, extra = (
-                        500,
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                        [],
-                    )
-                if isinstance(payload, dict):
-                    # Server-side handling time for this very request —
-                    # what loadgen subtracts from client latency to make
-                    # network + queueing visible.
-                    payload.setdefault(
-                        "server_seconds", round(time.monotonic() - started, 6)
-                    )
-                close = (
-                    headers.get("connection", "").lower() == "close"
-                    or version == "HTTP/1.0"
-                )
-                await self._respond(writer, status, payload, extra, close)
-                if close:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            ValueError,
-        ):
-            # A torn connection only ends this keep-alive session; the
-            # counter keeps balancer-induced churn visible in /metrics.
-            self.scheduler.registry.inc("service.connection_errors")
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001 - peer already gone
-                pass
-
-    @staticmethod
-    async def _read_headers(reader) -> dict[str, str] | None:
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line:
-                return None
-            if line in (b"\r\n", b"\n"):
-                return headers
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-
-    @staticmethod
-    async def _respond(
-        writer,
-        status: int,
-        payload: object,
-        extra_headers: list[tuple[str, str]] | None = None,
-        close: bool = False,
-    ) -> None:
-        if isinstance(payload, str):
-            # Plain-text exposition (Prometheus /metrics).
-            body = payload.encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            body = (json.dumps(payload) + "\n").encode()
-            content_type = "application/json"
-        head = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: " + ("close" if close else "keep-alive"),
-        ]
-        for name, value in extra_headers or []:
-            head.append(f"{name}: {value}")
-        writer.write("\r\n".join(head).encode() + b"\r\n\r\n" + body)
-        await writer.drain()
+        await httpio.serve_connection(
+            reader,
+            writer,
+            self._timed_route,
+            self.scheduler.registry,
+            "service.connection_errors",
+            self.idle_timeout,
+            self._connections,
+        )
 
     # routing ---------------------------------------------------------------
+
+    async def _timed_route(
+        self, method: str, target: str, body: bytes, headers: dict[str, str]
+    ) -> tuple[int, object, list[tuple[str, str]]]:
+        started = time.monotonic()
+        status, payload, extra = await self._route(method, target, body, headers)
+        if isinstance(payload, dict):
+            # Server-side handling time for this very request — what
+            # loadgen subtracts from client latency to make network +
+            # queueing visible.
+            payload.setdefault(
+                "server_seconds", round(time.monotonic() - started, 6)
+            )
+        return status, payload, extra
 
     async def _route(
         self,
@@ -308,7 +209,7 @@ class ServiceServer:
             return (200 if ready else 503), payload, []
         if path == "/metrics" and method == "GET":
             tree = self.scheduler.metrics()
-            if self._wants_prometheus(query, headers):
+            if httpio.wants_prometheus(query, headers):
                 return 200, to_prometheus(tree), []
             return 200, tree, []
         if path == "/v1/jobs" and method == "POST":
@@ -334,18 +235,6 @@ class ServiceServer:
         ):
             return 405, {"error": f"method {method} not allowed"}, []
         return 404, {"error": f"no route for {path}"}, []
-
-    @staticmethod
-    def _wants_prometheus(query: dict, headers: dict[str, str]) -> bool:
-        """``?format=prom`` or an Accept preferring text/plain selects
-        the Prometheus exposition; JSON stays the default."""
-        requested = query.get("format", [""])[0].lower()
-        if requested in ("prom", "prometheus", "text"):
-            return True
-        if requested:  # explicit ?format=json (or anything else)
-            return False
-        accept = headers.get("accept", "")
-        return "text/plain" in accept and "application/json" not in accept
 
     def _trace(self, trace_id: str) -> tuple[int, dict, list[tuple[str, str]]]:
         """One trace's spans from the server's flight recorder (worker

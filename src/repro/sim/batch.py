@@ -139,7 +139,7 @@ def run_batch(
     start_method: str | None = None,
     config: SupervisorConfig | None = None,
     journal: SweepJournal | None = None,
-    completed: dict[str, SimStats] | None = None,
+    resume: bool = False,
 ) -> list[SimStats]:
     """Run *jobs*, in parallel where the platform allows.
 
@@ -148,24 +148,13 @@ def run_batch(
     fork-preferred default (tests force ``spawn``); serial execution is
     the fallback when no start method is available.  *config* sets the
     supervision policy (timeouts, retries, backoff); *journal* records
-    completions for resume and *completed* serves previously journalled
+    completions for resume and *resume* serves previously journalled
     results.  Results are returned in job order; lost or permanently
     failed jobs raise :class:`BatchError`.
     """
-    if not jobs:
-        return []
-    # Sweep-level root span: every job's batch.job span (parent or
-    # worker process) hangs off this one trace.
-    with tracing.span("batch.run", jobs=len(jobs)):
-        return run_supervised(
-            jobs,
-            _run_job,
-            processes=processes,
-            requested_start_method=start_method,
-            config=config,
-            journal=journal,
-            completed=completed,
-        ).results
+    return run_batch_report(
+        jobs, processes, start_method, config, journal, resume
+    ).results
 
 
 def run_batch_report(
@@ -176,9 +165,10 @@ def run_batch_report(
     journal: SweepJournal | None = None,
     resume: bool = False,
 ) -> BatchReport:
-    """:func:`run_batch` plus wall-clock, throughput, result-cache and
-    per-job outcome accounting (feeds the ``BENCH_sim_throughput.json``
-    perf record and the ``sweep`` summary/manifest).
+    """Run *jobs* like :func:`run_batch`, with wall-clock, throughput,
+    result-cache and per-job outcome accounting (feeds the
+    ``BENCH_sim_throughput.json`` perf record and the ``sweep``
+    summary/manifest).
 
     With *journal* set, completions are recorded as they happen; with
     *resume* additionally true, jobs already in the journal are served

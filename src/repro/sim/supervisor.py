@@ -1,10 +1,10 @@
-"""Supervised parallel job execution: the resilient sweep engine.
+"""Supervised parallel job execution: one engine for sweeps and serving.
 
-:mod:`repro.sim.batch` used to hand jobs to a bare
-``Pool.imap_unordered`` — one hung worker, one OOM kill or one Ctrl-C
-lost the whole sweep.  This module replaces the pool with a supervisor
-that owns one :class:`multiprocessing.Process` per worker slot and
-treats every job as a unit of recovery:
+:class:`WorkerPool` owns one :class:`multiprocessing.Process` per worker
+slot and treats every job as a unit of recovery.  It is the only
+supervision loop: ``repro serve`` streams jobs into a long-lived pool,
+and :func:`run_supervised` (behind ``repro sweep`` and ``repro ablate``)
+submits one batch to a pool of its own and collects the results.
 
 * **Per-job wall-clock timeouts** — a worker stuck past
   ``SupervisorConfig.timeout`` is terminated and its job requeued.
@@ -26,10 +26,9 @@ treats every job as a unit of recovery:
   digest-checked copy of the result) to ``journal.jsonl`` the moment
   they finish, so ``repro sweep --resume DIR`` after any interruption
   skips finished work and reproduces results **bit-identically**.
-* **Lost-job detection** — if any result slot is unfilled at the end
-  (the old ``imap_unordered`` silently returned ``None`` holes), a
-  :class:`BatchError` names the lost jobs instead of returning corrupt
-  results.
+* **Lost-job detection** — a batch whose jobs do not all produce a
+  result raises :class:`BatchError` naming every lost job instead of
+  returning ``None`` holes.
 
 Every recovery path is provable on demand with the deterministic fault
 harness (:mod:`repro.faults`, ``REPRO_FAULTS=...``): the worker wrapper
@@ -42,6 +41,7 @@ from __future__ import annotations
 
 import base64
 import concurrent.futures
+import ctypes
 import hashlib
 import heapq
 import json
@@ -51,6 +51,7 @@ import os
 import pickle
 import queue
 import random
+import signal
 import threading
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -278,6 +279,25 @@ class SweepJournal:
 
 # -- worker side --------------------------------------------------------------
 
+#: Linux ``prctl`` option: the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent() -> None:
+    """Have Linux SIGKILL this worker when the thread that forked it
+    ends.  A parent killed outright (SIGKILL, OOM) then leaves no orphan
+    blocked on its task queue forever, holding the sockets it inherited
+    (a ``repro serve`` replica's listening port, which its respawn could
+    no longer bind).  The pool's supervision thread outlives its workers
+    in every orderly exit.  A no-op where ``prctl`` is unavailable."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):
+        return
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+
 
 def _worker_main(worker_id: int, run_job, task_queue, result_conn) -> None:
     """Worker loop: pull ``(index, attempt, job, trace_parent)``, send
@@ -303,6 +323,7 @@ def _worker_main(worker_id: int, run_job, task_queue, result_conn) -> None:
     worker's flight recorder ride back with every result message (and,
     when ``REPRO_TRACE_DIR`` is set, were already spilled to disk at
     record time — a crash-killed worker's spans survive there)."""
+    _die_with_parent()
     faults.mark_worker()
     tracing.set_process_role("worker")
     while True:
@@ -377,370 +398,7 @@ class _Worker:
     started: float = 0.0
 
 
-class _Supervisor:
-    """One supervised batch execution (single use)."""
-
-    def __init__(
-        self,
-        jobs: list[Any],
-        run_job: Callable[[Any], Any],
-        config: SupervisorConfig,
-        journal: SweepJournal | None,
-        on_complete: Callable[[JobOutcome], None] | None,
-    ) -> None:
-        self.jobs = jobs
-        self.run_job = run_job
-        self.config = config
-        self.journal = journal
-        self.on_complete = on_complete
-        self.results: list[Any] = [_UNSET] * len(jobs)
-        #: Ambient trace context at construction (e.g. the ``batch.run``
-        #: span): shipped with every task so worker-side ``batch.job``
-        #: spans join this trace rather than starting their own.
-        self.trace_parent = tracing.current_traceparent()
-        self.outcomes = [
-            JobOutcome(index=i, job=asdict(job)) for i, job in enumerate(jobs)
-        ]
-        self.unresolved: set[int] = set()
-        self.failed: list[int] = []
-        self.pending: list[tuple[float, int, int, int]] = []
-        self._seq = 0
-        self._rng = random.Random(config.backoff_seed)
-        self.worker_failures = 0
-        self.degraded_serial = False
-
-    # resolution bookkeeping ------------------------------------------------
-
-    def _resolve_ok(self, index: int, attempt: int, result: Any) -> None:
-        outcome = self.outcomes[index]
-        self.results[index] = result
-        outcome.attempts = max(outcome.attempts, attempt)
-        outcome.status = "ok" if not outcome.failures else "retried"
-        self.unresolved.discard(index)
-        if self.journal is not None:
-            self.journal.append(self.jobs[index], result, outcome)
-        if self.on_complete is not None:
-            self.on_complete(outcome)
-
-    def _attempt_failed(
-        self, index: int, attempt: int, reason: str, kind: str
-    ) -> bool:
-        """Record a failed attempt; returns True when a retry is owed."""
-        outcome = self.outcomes[index]
-        outcome.attempts = max(outcome.attempts, attempt)
-        outcome.failures.append(f"attempt {attempt}: {reason}")
-        if attempt >= self.config.max_attempts:
-            outcome.status = kind
-            self.unresolved.discard(index)
-            self.failed.append(index)
-            if self.on_complete is not None:
-                self.on_complete(outcome)
-            return False
-        return True
-
-    def _schedule(self, index: int, attempt: int, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(
-            self.pending, (time.monotonic() + delay, self._seq, index, attempt)
-        )
-
-    def _requeue(self, index: int, attempt: int, reason: str, kind: str) -> None:
-        if self._attempt_failed(index, attempt, reason, kind):
-            delay = self.config.backoff_seconds(attempt, self._rng)
-            self._schedule(index, attempt + 1, delay)
-
-    # serial execution ------------------------------------------------------
-
-    def run_serial(self, work: list[tuple[int, int]]) -> None:
-        """Run ``(index, first_attempt)`` pairs in-process with retries.
-
-        Outside a supervised worker the fault harness degrades ``crash``
-        and ``hang`` to exceptions, so injection cannot kill or freeze
-        the parent; timeouts are unenforceable here (documented).
-        """
-        for index, first_attempt in work:
-            attempt = first_attempt
-            while index in self.unresolved:
-                start = time.perf_counter()
-                try:
-                    with tracing.span(
-                        "batch.job", index=index, attempt=attempt
-                    ):
-                        faults.maybe_fail(
-                            "batch.worker", token=index, attempt=attempt
-                        )
-                        result = self.run_job(self.jobs[index])
-                except KeyboardInterrupt:
-                    raise
-                except BaseException as exc:
-                    self.outcomes[index].wall_seconds += (
-                        time.perf_counter() - start
-                    )
-                    retry = self._attempt_failed(
-                        index,
-                        attempt,
-                        f"{type(exc).__name__}: {exc}",
-                        "crashed",
-                    )
-                    if not retry:
-                        break
-                    time.sleep(self.config.backoff_seconds(attempt, self._rng))
-                    attempt += 1
-                else:
-                    self.outcomes[index].wall_seconds += (
-                        time.perf_counter() - start
-                    )
-                    self._resolve_ok(index, attempt, result)
-
-    # parallel execution ----------------------------------------------------
-
-    def run_parallel(self, processes: int, method: str) -> None:
-        context = multiprocessing.get_context(method)
-        self._next_worker_id = 0
-        workers: list[_Worker] = []
-        by_id: dict[int, _Worker] = {}
-
-        def spawn() -> _Worker:
-            self._next_worker_id += 1
-            tasks = context.SimpleQueue()
-            # One private result pipe per worker (see _worker_main): a
-            # dying worker can sever only its own channel, never a lock
-            # shared with its siblings.
-            recv_conn, send_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_worker_main,
-                args=(self._next_worker_id, self.run_job, tasks, send_conn),
-                daemon=True,
-            )
-            process.start()
-            # Drop the parent's copy of the write end so worker death
-            # closes the pipe's last writer and the parent sees EOF.
-            send_conn.close()
-            worker = _Worker(self._next_worker_id, process, tasks, recv_conn)
-            by_id[worker.id] = worker
-            return worker
-
-        def kill(worker: _Worker) -> None:
-            worker.process.terminate()
-            worker.process.join(1.0)
-            if worker.process.is_alive():  # pragma: no cover - stubborn child
-                worker.process.kill()
-                worker.process.join(1.0)
-            worker.conn.close()
-            by_id.pop(worker.id, None)
-
-        def replace(worker: _Worker) -> None:
-            by_id.pop(worker.id, None)
-            workers[workers.index(worker)] = spawn()
-
-        def handle(message: tuple) -> None:
-            kind, worker_id, index, attempt = message[:4]
-            worker = by_id.get(worker_id)
-            if worker is not None and worker.busy == (index, attempt):
-                worker.busy = None
-            if index not in self.unresolved:
-                return  # stale duplicate from a reclaimed worker
-            if kind == "ok":
-                result, cache_delta, seconds, spans = message[4:]
-                self.outcomes[index].wall_seconds += seconds
-                # Fold the worker's cache activity into this process's
-                # counters so batch totals read like serial totals.
-                result_cache.stats.add(cache_delta)
-                tracing.absorb(spans)
-                self._resolve_ok(index, attempt, result)
-            else:
-                reason, seconds, spans = message[4:]
-                self.outcomes[index].wall_seconds += seconds
-                tracing.absorb(spans)
-                self._requeue(index, attempt, reason, "crashed")
-
-        for index in sorted(self.unresolved):
-            self._schedule(index, 1)
-        workers.extend(spawn() for _ in range(processes))
-
-        try:
-            while self.unresolved:
-                now = time.monotonic()
-                for worker in workers:
-                    if worker.busy is not None:
-                        continue
-                    while self.pending and self.pending[0][2] not in self.unresolved:
-                        heapq.heappop(self.pending)
-                    if not self.pending or self.pending[0][0] > now:
-                        break  # heap is time-ordered: nothing ready yet
-                    _, _, index, attempt = heapq.heappop(self.pending)
-                    worker.busy = (index, attempt)
-                    worker.started = now
-                    worker.tasks.put(
-                        (index, attempt, self.jobs[index], self.trace_parent)
-                    )
-
-                ready = multiprocessing.connection.wait(
-                    [worker.conn for worker in workers],
-                    timeout=self.config.poll_interval,
-                )
-                for conn in ready:
-                    try:
-                        while conn.poll(0):
-                            handle(conn.recv())
-                    except (EOFError, OSError):
-                        # Worker died (possibly mid-message): the death
-                        # check below requeues its job and respawns.
-                        pass
-
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.busy is None:
-                        if not worker.process.is_alive():
-                            # Idle worker died (start-up crash): respawn.
-                            self.worker_failures += 1
-                            replace(worker)
-                        continue
-                    index, attempt = worker.busy
-                    timeout = self.config.timeout
-                    if not worker.process.is_alive():
-                        self.worker_failures += 1
-                        exit_code = worker.process.exitcode
-                        kill(worker)
-                        if index in self.unresolved:
-                            self._requeue(
-                                index,
-                                attempt,
-                                f"worker died (exit code {exit_code})",
-                                "crashed",
-                            )
-                        replace(worker)
-                    elif timeout is not None and now - worker.started > timeout:
-                        self.worker_failures += 1
-                        kill(worker)
-                        if index in self.unresolved:
-                            self.outcomes[index].wall_seconds += timeout
-                            self._requeue(
-                                index,
-                                attempt,
-                                f"timed out after {timeout:g}s",
-                                "timeout",
-                            )
-                        replace(worker)
-
-                if self.worker_failures > self.config.max_worker_failures:
-                    # The pool is hostile territory: reclaim every
-                    # in-flight job and finish in-process.
-                    self.degraded_serial = True
-                    inflight = {
-                        worker.busy[0]: worker.busy[1]
-                        for worker in workers
-                        if worker.busy is not None
-                    }
-                    for worker in workers:
-                        kill(worker)
-                    workers.clear()
-                    queued = {}
-                    for _, _, index, attempt in self.pending:
-                        if index in self.unresolved:
-                            queued.setdefault(index, attempt)
-                    work = [
-                        (index, queued.get(index, inflight.get(index, 1)))
-                        for index in sorted(self.unresolved)
-                    ]
-                    self.run_serial(work)
-                    return
-        finally:
-            for worker in workers:
-                if worker.process.is_alive():
-                    try:
-                        worker.tasks.put(None)
-                    except Exception:  # pragma: no cover - broken pipe
-                        pass
-            deadline = time.monotonic() + 2.0
-            for worker in workers:
-                worker.process.join(max(0.0, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    kill(worker)
-                else:
-                    worker.conn.close()
-
-
-_UNSET = object()
-
-
-def run_supervised(
-    jobs: list[Any],
-    run_job: Callable[[Any], Any],
-    processes: int | None = None,
-    requested_start_method: str | None = None,
-    config: SupervisorConfig | None = None,
-    journal: SweepJournal | None = None,
-    completed: dict[str, Any] | None = None,
-    on_complete: Callable[[JobOutcome], None] | None = None,
-) -> SupervisedRun:
-    """Run *jobs* through *run_job* under supervision.
-
-    *completed* maps :meth:`SweepJournal.job_key` keys to results of a
-    previous run (journal resume): matching jobs are served as-is with
-    status ``skipped``.  Results are returned in job order; any job that
-    exhausts its retry budget — or would silently be lost — raises
-    :class:`BatchError` naming it.
-    """
-    config = config or DEFAULT_CONFIG
-    if config.max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    supervisor = _Supervisor(jobs, run_job, config, journal, on_complete)
-    completed = completed or {}
-    for index, job in enumerate(jobs):
-        previous = completed.get(SweepJournal.job_key(job), _UNSET)
-        if previous is not _UNSET:
-            supervisor.results[index] = previous
-            outcome = supervisor.outcomes[index]
-            outcome.status = "skipped"
-            if on_complete is not None:
-                on_complete(outcome)
-        else:
-            supervisor.unresolved.add(index)
-
-    if supervisor.unresolved:
-        if processes is None:
-            processes = min(len(supervisor.unresolved), os.cpu_count() or 1)
-        method = start_method(requested_start_method)
-        if processes <= 1 or method is None:
-            supervisor.run_serial(
-                [(index, 1) for index in sorted(supervisor.unresolved)]
-            )
-        else:
-            supervisor.run_parallel(
-                min(processes, len(supervisor.unresolved)), method
-            )
-
-    if supervisor.failed:
-        lines = []
-        for index in sorted(supervisor.failed):
-            outcome = supervisor.outcomes[index]
-            last = outcome.failures[-1] if outcome.failures else "unknown"
-            lines.append(
-                f"  job {index} {SweepJournal.job_key(jobs[index])}: "
-                f"{outcome.status} after {outcome.attempts} attempt(s) ({last})"
-            )
-        raise BatchError(
-            f"{len(supervisor.failed)} job(s) permanently failed:\n"
-            + "\n".join(lines),
-            outcomes=supervisor.outcomes,
-        )
-    lost = [i for i, value in enumerate(supervisor.results) if value is _UNSET]
-    if lost:  # pragma: no cover - safety net, should be unreachable
-        keys = ", ".join(SweepJournal.job_key(jobs[i]) for i in lost)
-        raise BatchError(
-            f"{len(lost)} job(s) lost without a recorded outcome: {keys}",
-            outcomes=supervisor.outcomes,
-        )
-    return SupervisedRun(
-        results=list(supervisor.results),
-        outcomes=supervisor.outcomes,
-        degraded_serial=supervisor.degraded_serial,
-        worker_failures=supervisor.worker_failures,
-    )
-
-
-# -- persistent worker pool ---------------------------------------------------
+# -- worker pool --------------------------------------------------------------
 
 
 class PoolDraining(RuntimeError):
@@ -788,16 +446,13 @@ def _record_queue_wait(ticket: _PoolTicket) -> None:
 
 
 class WorkerPool:
-    """Long-lived supervised worker pool with an orderly way out.
+    """Supervised worker pool: the one supervision engine.
 
-    :func:`run_supervised` is single-use: it owns its workers for
-    exactly one batch and tears them down in a ``finally`` that only
-    batch completion (or Ctrl-C) reaches.  A serving front-end needs the
-    same supervision guarantees — per-job wall-clock timeouts, bounded
-    retries with backoff, dead-worker detection and respawn,
-    degrade-to-serial after repeated pool failures, the ``batch.worker``
-    fault-injection site — for an *open-ended* stream of jobs, plus a
-    public shutdown path instead of reaching into the batch teardown:
+    Per-job wall-clock timeouts, bounded retries with backoff,
+    dead-worker detection and respawn, degrade-to-serial after repeated
+    pool failures and the ``batch.worker`` fault-injection site, for an
+    open-ended stream of jobs (``repro serve``) or a single batch
+    (:func:`run_supervised`):
 
     * :meth:`submit` hands one job to the pool and returns a
       :class:`concurrent.futures.Future` resolving to the job's result,
@@ -807,12 +462,17 @@ class WorkerPool:
     * :meth:`drain` stops intake (further submits raise
       :class:`PoolDraining`), lets queued and in-flight jobs finish,
       and joins the worker processes.
+    * :meth:`terminate` stops at once (a sweep's Ctrl-C): intake closes,
+      the workers are killed mid-job and every unresolved job fails
+      with :class:`PoolJobError`.
 
     ``processes=0`` runs jobs inline on the supervision thread (no
-    worker processes: timeouts unenforceable, injected crashes degrade
-    to exceptions — exactly :meth:`_Supervisor.run_serial` semantics).
-    Supervision runs on a daemon thread, so futures resolve off the
-    caller's thread; asyncio callers bridge with ``asyncio.wrap_future``.
+    worker processes: timeouts unenforceable, injected crashes and
+    hangs degrade to exceptions).  Supervision runs on a daemon thread,
+    so futures resolve off the caller's thread; asyncio callers bridge
+    with ``asyncio.wrap_future``.  *queue_spans* records a
+    ``pool.queue_wait`` span per job; a batch turns it off, since its
+    jobs only wait on one another.
     """
 
     def __init__(
@@ -821,8 +481,10 @@ class WorkerPool:
         processes: int | None = None,
         config: SupervisorConfig | None = None,
         requested_start_method: str | None = None,
+        queue_spans: bool = True,
     ) -> None:
         self.run_job = run_job
+        self.queue_spans = queue_spans
         self.config = config or DEFAULT_CONFIG
         if self.config.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -838,6 +500,7 @@ class WorkerPool:
         self._inbox: queue.Queue[_PoolTicket] = queue.Queue()
         self._live: dict[int, _PoolTicket] = {}
         self._draining = threading.Event()
+        self._terminated = threading.Event()
         #: Set once the worker processes are spawned (immediately for
         #: serial pools) — the ``/readyz`` signal: a pool that has not
         #: set this would queue jobs without anyone to run them.
@@ -855,34 +518,42 @@ class WorkerPool:
     # public surface --------------------------------------------------------
 
     def submit(
-        self, job: Any, trace_parent: str | None = None
+        self,
+        job: Any,
+        trace_parent: str | None = None,
+        outcome: JobOutcome | None = None,
     ) -> concurrent.futures.Future:
         """Queue *job*; the returned future resolves to its result.
 
         *trace_parent* is the ``traceparent`` the job's spans should
         join (defaults to the caller's ambient trace context); the time
         between submission and dispatch surfaces as a
-        ``pool.queue_wait`` span on that trace.
+        ``pool.queue_wait`` span on that trace.  *outcome* is the audit
+        record to fill in: its ``index`` is the job's ``batch.worker``
+        fault token and must be unique among the pool's unresolved jobs
+        (by default jobs are numbered in submission order).
         """
-        if self._draining.is_set():
-            raise PoolDraining("worker pool is draining")
         if trace_parent is None:
             trace_parent = tracing.current_traceparent()
+        if outcome is None:
+            record = asdict(job) if is_dataclass(job) else {"job": repr(job)}
         future: concurrent.futures.Future = concurrent.futures.Future()
+        submitted = time.time() if self.queue_spans else 0.0
         with self._lock:
-            index = self._submitted
+            # Tested and enqueued under the lock the supervision thread
+            # takes for its exit test (_drained): a concurrent drain
+            # either refuses this job or waits for it, never strands it.
+            if self._draining.is_set():
+                raise PoolDraining("worker pool is draining")
+            if outcome is None:
+                outcome = JobOutcome(index=self._submitted, job=record)
             self._submitted += 1
             self._unfinished += 1
-        record = asdict(job) if is_dataclass(job) else {"job": repr(job)}
-        ticket = _PoolTicket(
-            index,
-            job,
-            future,
-            JobOutcome(index=index, job=record),
-            trace_parent,
-            time.time(),
-        )
-        self._inbox.put(ticket)
+            self._inbox.put(
+                _PoolTicket(
+                    outcome.index, job, future, outcome, trace_parent, submitted
+                )
+            )
         return future
 
     def drain(self, timeout: float | None = None) -> bool:
@@ -892,6 +563,16 @@ class WorkerPool:
         self._draining.set()
         self._thread.join(timeout)
         return not self._thread.is_alive()
+
+    def terminate(self) -> None:
+        """Stop accepting, kill the workers without waiting for queued
+        or in-flight jobs, fail every unresolved job with
+        :class:`PoolJobError`, and join the supervision thread.  An
+        inline job already running cannot be preempted: it finishes
+        first."""
+        self._terminated.set()
+        self._draining.set()
+        self._thread.join()
 
     @property
     def draining(self) -> bool:
@@ -974,8 +655,11 @@ class WorkerPool:
     # serial execution ------------------------------------------------------
 
     def _run_inline(self, ticket: _PoolTicket, first_attempt: int = 1) -> None:
-        """Run one ticket on the supervision thread with retries (same
-        semantics as :meth:`_Supervisor.run_serial`)."""
+        """Run one ticket on the supervision thread with retries.
+
+        Outside a supervised worker the fault harness degrades ``crash``
+        and ``hang`` to exceptions, so injection cannot kill or freeze
+        this process; timeouts are unenforceable here."""
         attempt = first_attempt
         while True:
             start = time.perf_counter()
@@ -1003,13 +687,19 @@ class WorkerPool:
                 self._resolve(ticket, attempt, result)
                 return
 
+    def _drained(self) -> bool:
+        """Draining with nothing left to take in — tested under the lock
+        :meth:`submit` holds from its own draining test to its enqueue."""
+        with self._lock:
+            return self._draining.is_set() and self._inbox.empty()
+
     def _supervise_serial(self) -> None:
         self._workers_started.set()
-        while True:
+        while not self._terminated.is_set():
             try:
                 ticket = self._inbox.get(timeout=self.config.poll_interval)
             except queue.Empty:
-                if self._draining.is_set():
+                if self._drained():
                     return
                 continue
             _record_queue_wait(ticket)
@@ -1066,6 +756,8 @@ class WorkerPool:
                 daemon=True,
             )
             process.start()
+            # Drop the parent's copy of the write end so worker death
+            # closes the pipe's last writer and the parent sees EOF.
             send_conn.close()
             worker = _Worker(next_worker_id, process, tasks, recv_conn)
             by_id[worker.id] = worker
@@ -1108,7 +800,7 @@ class WorkerPool:
         workers.extend(spawn() for _ in range(self.processes))
         self._workers_started.set()
         try:
-            while True:
+            while not self._terminated.is_set():
                 while True:  # intake
                     try:
                         ticket = self._inbox.get_nowait()
@@ -1116,10 +808,8 @@ class WorkerPool:
                         break
                     self._live[ticket.index] = ticket
                     self._schedule(pending, ticket.index, 1, 0.0)
-                if self._draining.is_set() and not self._live:
-                    if self._inbox.empty():
-                        return
-                    continue  # late submissions raced the drain flag
+                if not self._live and self._drained():
+                    return
 
                 now = time.monotonic()
                 for worker in workers:  # dispatch
@@ -1212,6 +902,8 @@ class WorkerPool:
                         kill(worker)
                     workers.clear()
                     for index in sorted(self._live):
+                        if self._terminated.is_set():
+                            return
                         ticket = self._live.pop(index)
                         self._run_inline(
                             ticket, ticket.outcome.attempts + 1
@@ -1219,19 +911,20 @@ class WorkerPool:
                     self._supervise_serial()
                     return
         finally:
+            if not self._terminated.is_set():
+                # Orderly exit: each worker finishes, reads the stop
+                # sentinel and leaves; stragglers are killed below.
+                for worker in workers:
+                    if worker.process.is_alive():
+                        try:
+                            worker.tasks.put(None)
+                        except Exception:  # pragma: no cover - broken pipe
+                            pass
+                deadline = time.monotonic() + 2.0
+                for worker in workers:
+                    worker.process.join(max(0.0, deadline - time.monotonic()))
             for worker in workers:
-                if worker.process.is_alive():
-                    try:
-                        worker.tasks.put(None)
-                    except Exception:  # pragma: no cover - broken pipe
-                        pass
-            deadline = time.monotonic() + 2.0
-            for worker in workers:
-                worker.process.join(max(0.0, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    kill(worker)
-                else:
-                    worker.conn.close()
+                kill(worker)
 
     # supervision thread ----------------------------------------------------
 
@@ -1242,22 +935,127 @@ class WorkerPool:
             else:
                 self._supervise_parallel()
         except BaseException as exc:  # pragma: no cover - safety net
-            self._abort(exc)
+            self._abort(f"supervision failed: {exc}")
             raise
+        if self._terminated.is_set():
+            self._abort("terminated")
 
-    def _abort(self, exc: BaseException) -> None:
-        """Supervision died: fail every unresolved job rather than hang
-        its waiters (accepted jobs resolve to an error, never silence)."""
-        while True:
-            try:
-                ticket = self._inbox.get_nowait()
-            except queue.Empty:
-                break
-            self._live[ticket.index] = ticket
+    def _abort(self, reason: str) -> None:
+        """Supervision ended early: fail every unresolved job rather than
+        hang its waiters (accepted jobs resolve to an error, never
+        silence)."""
+        with self._lock:  # no submit can slip in behind this sweep
+            self._draining.set()
+            while True:
+                try:
+                    ticket = self._inbox.get_nowait()
+                except queue.Empty:
+                    break
+                self._live[ticket.index] = ticket
         for ticket in list(self._live.values()):
             ticket.outcome.status = "crashed"
-            ticket.outcome.failures.append(f"supervision failed: {exc}")
+            ticket.outcome.failures.append(reason)
             self._set_exception(
-                ticket, PoolJobError(f"pool supervision failed: {exc}", ticket.outcome)
+                ticket, PoolJobError(f"pool {reason}", ticket.outcome)
             )
         self._live.clear()
+
+
+# -- batches ------------------------------------------------------------------
+
+_UNSET = object()
+
+
+def run_supervised(
+    jobs: list[Any],
+    run_job: Callable[[Any], Any],
+    processes: int | None = None,
+    requested_start_method: str | None = None,
+    config: SupervisorConfig | None = None,
+    journal: SweepJournal | None = None,
+    completed: dict[str, Any] | None = None,
+    on_complete: Callable[[JobOutcome], None] | None = None,
+) -> SupervisedRun:
+    """Run *jobs* through *run_job* on a :class:`WorkerPool` of their own.
+
+    *completed* maps :meth:`SweepJournal.job_key` keys to results of a
+    previous run (journal resume): matching jobs are served as-is with
+    status ``skipped``.  The rest run on at most *processes* workers
+    (default: the CPU count, capped by the jobs left to run; 1 or less
+    runs them in-process).  Each completion is journalled and passed to
+    *on_complete* on the calling thread, so an exception raised there
+    (e.g. ``KeyboardInterrupt``) propagates once the pool's workers are
+    killed.  Results are returned in job order; any job that exhausts
+    its retry budget raises :class:`BatchError` naming it.
+    """
+    config = config or DEFAULT_CONFIG
+    if config.max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+    results: list[Any] = [None] * len(jobs)
+    outcomes = [JobOutcome(index=i, job=asdict(job)) for i, job in enumerate(jobs)]
+    completed = completed or {}
+    unresolved = []
+    for index, job in enumerate(jobs):
+        previous = completed.get(SweepJournal.job_key(job), _UNSET)
+        if previous is _UNSET:
+            unresolved.append(index)
+            continue
+        results[index] = previous
+        outcomes[index].status = "skipped"
+        if on_complete is not None:
+            on_complete(outcomes[index])
+
+    failed: list[int] = []
+    pool = None
+    if unresolved:
+        if processes is None:
+            processes = min(len(unresolved), os.cpu_count() or 1)
+        pool = WorkerPool(
+            run_job,
+            processes=min(processes, len(unresolved)) if processes > 1 else 0,
+            config=config,
+            requested_start_method=requested_start_method,
+            queue_spans=False,
+        )
+        try:
+            # Each outcome keeps the job's batch index: the fault token
+            # and audit index do not shift when resume skips jobs.
+            futures = {
+                pool.submit(jobs[index], outcome=outcomes[index]): index
+                for index in unresolved
+            }
+            for future in concurrent.futures.as_completed(futures):
+                index = futures[future]
+                try:
+                    results[index] = future.result()
+                except PoolJobError:
+                    failed.append(index)
+                else:
+                    if journal is not None:
+                        journal.append(jobs[index], results[index], outcomes[index])
+                if on_complete is not None:
+                    on_complete(outcomes[index])
+            pool.drain()
+        except BaseException:
+            pool.terminate()
+            raise
+
+    if failed:
+        lines = []
+        for index in sorted(failed):
+            outcome = outcomes[index]
+            last = outcome.failures[-1] if outcome.failures else "unknown"
+            lines.append(
+                f"  job {index} {SweepJournal.job_key(jobs[index])}: "
+                f"{outcome.status} after {outcome.attempts} attempt(s) ({last})"
+            )
+        raise BatchError(
+            f"{len(failed)} job(s) permanently failed:\n" + "\n".join(lines),
+            outcomes=outcomes,
+        )
+    return SupervisedRun(
+        results=results,
+        outcomes=outcomes,
+        degraded_serial=pool is not None and pool.degraded_serial,
+        worker_failures=pool.worker_failures if pool is not None else 0,
+    )

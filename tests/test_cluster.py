@@ -263,6 +263,41 @@ def test_balancer_routes_by_job_key_and_preserves_coalescing():
         assert record["id"].startswith(expected + "-job-")
 
 
+def _raw_exchange(port: int, request: bytes) -> tuple[str, dict, dict]:
+    """Send *request* bytes verbatim; read the reply until the peer
+    closes.  Returns (status line, lower-cased headers, JSON body)."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines)
+    }
+    return status, headers, json.loads(body)
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_malformed_content_length_is_400_on_serve_and_balance(length):
+    # A non-integer or negative Content-Length cannot frame a body: both
+    # front ends answer 400 and close, instead of dropping the socket.
+    request = (
+        "POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode()
+    with cluster(replicas=1) as (balancer, fleet):
+        for port in (fleet[0].port, balancer.port):
+            status, headers, payload = _raw_exchange(port, request)
+            assert status.startswith("HTTP/1.1 400"), status
+            assert headers["connection"] == "close"
+            assert payload["error"] == "bad Content-Length"
+
+
 def test_balancer_routes_polls_by_job_id_prefix():
     with cluster(replicas=2) as (balancer, fleet):
         with ServiceClient(port=balancer.port) as client:

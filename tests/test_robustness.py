@@ -10,6 +10,12 @@ cache (injected corruption, injected ``ENOSPC`` degrade-to-off).
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +31,7 @@ from repro.sim.batch import (
     run_batch_report,
     suite_jobs,
 )
-from repro.sim.supervisor import run_supervised
+from repro.sim.supervisor import PoolDraining, WorkerPool, run_supervised
 
 #: Fast supervision policy so retries/backoff cost milliseconds.
 FAST = SupervisorConfig(
@@ -46,6 +52,15 @@ def make_jobs(schemes=("sequential", "collapsing_buffer"), length=3000):
     return suite_jobs(
         ("ora",), ("PI4",), tuple(schemes), length=length, warmup=800
     )
+
+
+def _wait_for(predicate, timeout=10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def disarm() -> None:
@@ -444,6 +459,150 @@ class TestJournalResume:
         journal.close()
         completed = SweepJournal(tmp_path / "sweep").load_completed()
         assert len(completed) == 1  # the finished job survived the Ctrl-C
+
+    @FORK_ONLY
+    def test_parallel_interrupt_kills_workers_and_flushes_journal(
+        self, cache_env, tmp_path
+    ):
+        # Hangs wedge the other worker, so the interrupt must tear the
+        # pool down rather than wait for the queue to finish.
+        jobs = make_jobs(length=3200) + suite_jobs(
+            ("li",), ("PI4",), ("sequential",), length=3200, warmup=800
+        )
+        arm("seed=3;batch.worker=hang:p=0.6:s=300")
+        journal = SweepJournal(tmp_path / "sweep")
+
+        def interrupt_after_first(outcome):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_supervised(
+                jobs,
+                _run_job,
+                processes=2,
+                config=FAST,
+                journal=journal,
+                on_complete=interrupt_after_first,
+            )
+        journal.close()
+        assert multiprocessing.active_children() == []
+        completed = SweepJournal(tmp_path / "sweep").load_completed()
+        assert len(completed) == 1  # the finished job survived the Ctrl-C
+
+    @FORK_ONLY
+    def test_resumed_run_keeps_batch_indices_as_fault_tokens(
+        self, cache_env, tmp_path
+    ):
+        # Fault tokens are batch indices: a resume that serves some jobs
+        # from the journal must crash exactly the jobs a fresh run does,
+        # not the ones that happen to be submitted first.
+        jobs = make_jobs(schemes=("sequential", "collapsing_buffer", "perfect"))
+        jobs += suite_jobs(
+            ("li",), ("PI4",), ("sequential",), length=3000, warmup=800
+        )
+        spec = "seed=7;batch.worker=crash:p=0.5:a=1"
+        plan = faults.parse_spec(spec)
+        doomed = {
+            i for i in range(len(jobs)) if plan.decide("batch.worker", token=i)
+        }
+        skip = {0, 1}
+        rest = [i for i in range(len(jobs)) if i not in skip]
+        # The schedule must tell batch indices from submission order.
+        shifted = {i for n, i in enumerate(rest) if n in doomed}
+        assert doomed - skip != shifted
+
+        journal = SweepJournal(tmp_path / "sweep")
+        run_batch_report([jobs[i] for i in sorted(skip)], processes=1, journal=journal)
+        journal.close()
+        arm(spec)
+        fresh = run_batch_report(jobs, processes=2, config=FAST)
+        resumed = run_batch_report(
+            jobs,
+            processes=2,
+            config=FAST,
+            journal=SweepJournal(tmp_path / "sweep"),
+            resume=True,
+        )
+        assert resumed.results == fresh.results
+        assert [o.index for o in resumed.outcomes] == list(range(len(jobs)))
+        retried = {o.index for o in fresh.outcomes if o.status == "retried"}
+        assert retried == doomed
+        assert {o.index for o in resumed.outcomes if o.status == "skipped"} == skip
+        assert {
+            o.index for o in resumed.outcomes if o.status == "retried"
+        } == doomed - skip
+
+
+# -- worker pool --------------------------------------------------------------
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("processes", [0, 1])
+    def test_submit_racing_drain_raises_or_resolves(self, processes):
+        # Force a drain to land between submit's draining test and its
+        # enqueue: the late job must either be refused or run, never be
+        # stranded by a supervision thread that already exited.
+        pool = WorkerPool(abs, processes=processes, config=FAST)
+        real_put = pool._inbox.put
+        drainer = threading.Thread(target=pool.drain)
+
+        def put_after_drain(ticket):
+            drainer.start()
+            assert _wait_for(lambda: pool.draining)
+            # Give the supervision thread every chance to take its exit.
+            pool._thread.join(10 * FAST.poll_interval)
+            real_put(ticket)
+
+        pool._inbox.put = put_after_drain
+        try:
+            future = pool.submit(-3)
+        except PoolDraining:
+            future = None
+        drainer.join(30)
+        assert not drainer.is_alive(), "drain never finished"
+        if future is not None:
+            assert future.result(timeout=0) == 3
+        with pytest.raises(PoolDraining):
+            pool.submit(-4)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="prctl is Linux-only"
+    )
+    def test_workers_die_with_a_killed_parent(self):
+        # A parent killed outright must not leave its pool workers
+        # orphaned (they would hold its inherited sockets forever).
+        script = (
+            "import multiprocessing, time\n"
+            "from repro.sim.supervisor import WorkerPool\n"
+            "pool = WorkerPool(abs, processes=2)\n"
+            "while not pool.ready:\n"
+            "    time.sleep(0.01)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True, env=env
+        )
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+            proc.wait()
+        assert len(workers) == 2
+
+        def running(pid: int) -> bool:
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except OSError:
+                return False
+            return stat.rsplit(")", 1)[1].split()[0] != "Z"  # zombie = dead
+
+        gone = _wait_for(lambda: not any(running(pid) for pid in workers))
+        for pid in workers:  # leave nothing behind, whatever the verdict
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
+        assert gone, "pool workers outlived their killed parent"
 
 
 # -- hardened result cache ----------------------------------------------------
