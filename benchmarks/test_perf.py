@@ -9,7 +9,9 @@ kernel deliver:
   not scheduler noise, trips it;
 * the kernel must beat the interpreted loop with bit-identical results
   (the ``compiled_kernel`` section also feeds CI's kernel-bench step);
-* a warm persistent-cache run must be a small fraction of the cold run.
+* a warm persistent-cache run must be a small fraction of the cold run;
+* the compiler's structural ``clone_cfg`` must stay far cheaper than
+  the ``copy.deepcopy`` it replaced.
 
 Timings are best-of-N to shrug off CI noise.  Results are recorded in
 ``BENCH_sim_throughput.json`` at the repo root.  Deselect with
@@ -18,11 +20,13 @@ Timings are best-of-N to shrug off CI noise.  Results are recorded in
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 
 import pytest
 
 from repro.machines.presets import get_machine
+from repro.program.program import clone_cfg
 from repro.sim.bench import best_of as _best_of
 from repro.sim.bench import measure_throughput, record_section
 from repro.sim.simulator import Simulator
@@ -39,6 +43,11 @@ BENCH_FILE = REPO_ROOT / "BENCH_sim_throughput.json"
 #: interpreted loop alone measured ~120-200k, so this floor also
 #: guarantees the kernel is actually engaged on the default path.
 MIN_INSN_PER_SEC = 500_000
+
+#: Minimum ``copy.deepcopy`` / ``clone_cfg`` time ratio on gcc's CFG
+#: (~25-45x measured on a 1-vCPU container).  A ratio of two timings
+#: taken in one process is immune to host-speed drift.
+MIN_CLONE_SPEEDUP = 10.0
 
 #: Warm kernel-replay floor on the kernel-bench configuration
 #: (PI8/interleaved_sequential measures ~1.0-1.2M insn/s warm).
@@ -142,6 +151,20 @@ def test_sanitizer_overhead_bounded():
     assert ratio < 2.5, (
         f"sanitizer overhead too high: {sanitized_best:.3f}s vs "
         f"{plain_best:.3f}s plain ({ratio:.2f}x)"
+    )
+
+
+def test_clone_cfg_speedup_floor():
+    """A regression of ``clone_cfg`` back to a generic deep copy trips
+    this: the warm ``repro report`` clones a CFG 63 times."""
+    cfg = load_workload("gcc").program.cfg
+    deep_best, _ = _best_of(3, lambda: copy.deepcopy(cfg))
+    clone_best, _ = _best_of(3, lambda: clone_cfg(cfg))
+    speedup = deep_best / clone_best
+    assert speedup >= MIN_CLONE_SPEEDUP, (
+        f"clone_cfg regressed: {clone_best * 1e3:.1f} ms vs "
+        f"{deep_best * 1e3:.1f} ms for copy.deepcopy ({speedup:.1f}x, "
+        f"floor {MIN_CLONE_SPEEDUP:.0f}x)"
     )
 
 

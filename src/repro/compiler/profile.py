@@ -71,34 +71,84 @@ def collect_profile(
     Each seed contributes up to *max_transitions* block transitions
     (restarting the program when it halts), mirroring the paper's
     multiple-training-input methodology.
+
+    The walk reads a row table built once per call instead of the CFG:
+    per block its terminator kind, successors, branch behaviour and flip
+    state, plus the integer keys ``src * n + dst`` of its two layout
+    edges.  A COND row draws :meth:`BranchBehavior.decide` exactly as
+    :meth:`BehaviorModel.decide_successor` would (one ``rng.random()``
+    per execution).  Both counters come out in first-seen order, which
+    :func:`select_traces` relies on to break ties.
+
+    Raises:
+        KeyError: a conditional block's branch key has no behaviour.
     """
-    profile = EdgeProfile()
     cfg = program.cfg
+    entry = cfg.entry_block_id
+    branches = behavior.branches
+    n = len(cfg.blocks)
+    rows = []
+    for block in cfg.blocks:
+        kind = block.term_kind
+        branch = None
+        if kind is TermKind.COND:
+            branch = branches.get(block.branch_key)
+            if branch is None:
+                raise KeyError(f"no behaviour for branch key {block.branch_key}")
+        base = block.block_id * n
+        rows.append(
+            (
+                kind,
+                block.fall_id,
+                block.taken_id,
+                branch,
+                block.flipped,
+                base + block.fall_id,
+                base + block.taken_id,
+            )
+        )
+    COND, FALLTHROUGH, JUMP, CALL = (
+        TermKind.COND,
+        TermKind.FALLTHROUGH,
+        TermKind.JUMP,
+        TermKind.CALL,
+    )
+    counts = [0] * n
+    first_seen: list[int] = []
+    edges: dict[int, int] = {}
+    edge_count = edges.get
     for seed in seeds:
         rng = random.Random(seed)
         behavior.reset()
         call_stack: list[int] = []
-        current = cfg.entry_block_id
+        current = entry
         for _ in range(max_transitions):
-            block = cfg.block(current)
-            profile.block_counts[current] += 1
-            kind = block.term_kind
-            if kind is TermKind.FALLTHROUGH:
-                nxt = block.fall_id
-                profile.edge_counts[(current, nxt)] += 1
-            elif kind is TermKind.COND:
-                nxt = behavior.decide_successor(block, rng)
-                profile.edge_counts[(current, nxt)] += 1
-            elif kind is TermKind.JUMP:
-                nxt = block.taken_id
-                profile.edge_counts[(current, nxt)] += 1
-            elif kind is TermKind.CALL:
+            kind, fall, taken, branch, flipped, fall_edge, taken_edge = rows[current]
+            if not counts[current]:
+                first_seen.append(current)
+            counts[current] += 1
+            if kind is COND:
+                if branch.decide(rng) != flipped:
+                    edges[taken_edge] = edge_count(taken_edge, 0) + 1
+                    current = taken
+                else:
+                    edges[fall_edge] = edge_count(fall_edge, 0) + 1
+                    current = fall
+            elif kind is FALLTHROUGH:
+                edges[fall_edge] = edge_count(fall_edge, 0) + 1
+                current = fall
+            elif kind is JUMP:
+                edges[taken_edge] = edge_count(taken_edge, 0) + 1
+                current = taken
+            elif kind is CALL:
                 # Layout edge to the return continuation; execution enters
                 # the callee.
-                profile.edge_counts[(current, block.fall_id)] += 1
-                call_stack.append(block.fall_id)
-                nxt = block.taken_id
+                edges[fall_edge] = edge_count(fall_edge, 0) + 1
+                call_stack.append(fall)
+                current = taken
             else:  # RET
-                nxt = call_stack.pop() if call_stack else cfg.entry_block_id
-            current = nxt
-    return profile
+                current = call_stack.pop() if call_stack else entry
+    return EdgeProfile(
+        block_counts=Counter({block_id: counts[block_id] for block_id in first_seen}),
+        edge_counts=Counter({divmod(key, n): count for key, count in edges.items()}),
+    )

@@ -11,12 +11,10 @@ invariant; :meth:`Program.from_order` checks it.
 
 from __future__ import annotations
 
-import copy
-
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
 from repro.program.basic_block import NO_BLOCK, BasicBlock, TermKind
-from repro.program.cfg import ControlFlowGraph
+from repro.program.cfg import ControlFlowGraph, Function
 
 
 class LayoutError(ValueError):
@@ -140,10 +138,43 @@ class Program:
         return nops / len(self.instructions)
 
 
-def clone_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
-    """Deep-copy a CFG so a transform can relayout without aliasing.
+def _clone_instruction(i: Instruction) -> Instruction:
+    return Instruction(i.op, i.dest, i.src1, i.src2, i.address, i.target, i.block_id)
 
-    Instruction objects are copied (addresses/targets will be reassigned);
-    block ids, function structure, branch keys and flip state are preserved.
+
+def clone_block(block: BasicBlock) -> BasicBlock:
+    """Copy *block* with fresh instructions and a fresh body list.
+
+    Every slot is carried over (layout fields included); the copy shares
+    no mutable object with *block*.
     """
-    return copy.deepcopy(cfg)
+    term = block.terminator
+    return BasicBlock(
+        block.block_id,
+        block.func_id,
+        list(map(_clone_instruction, block.body)),
+        block.term_kind,
+        None if term is None else _clone_instruction(term),
+        block.taken_id,
+        block.fall_id,
+        block.branch_key,
+        block.flipped,
+        block.is_func_entry,
+    )
+
+
+def clone_cfg(cfg: ControlFlowGraph) -> ControlFlowGraph:
+    """Copy a CFG so a transform can relayout without aliasing.
+
+    Functions, blocks and instructions are all fresh objects (addresses
+    and targets will be reassigned); block ids, function structure,
+    branch keys and flip state are preserved.
+    """
+    clone = ControlFlowGraph()
+    clone._blocks = [clone_block(block) for block in cfg.blocks]
+    clone._functions = [
+        Function(f.func_id, f.name, f.entry_id, list(f.block_ids))
+        for f in cfg.functions
+    ]
+    clone.entry_func_id = cfg.entry_func_id
+    return clone

@@ -1,6 +1,8 @@
 """Tests for the compiler subsystem: profiling, trace selection, layout,
 padding, and the local scheduler."""
 
+import random
+
 import pytest
 
 from repro.compiler import (
@@ -12,9 +14,12 @@ from repro.compiler import (
     schedule_program,
     select_traces,
 )
+from repro.compiler.profile import EdgeProfile
 from repro.isa import Instruction, OpClass
 from repro.program import ProgramBuilder, TermKind
 from repro.workloads import generate_trace, load_workload
+from repro.workloads.profiles import ALL_BENCHMARKS
+from repro.workloads.trace import PROFILING_SEEDS
 
 
 def hot_hammock_program(taken_prob=0.9):
@@ -36,6 +41,46 @@ def hot_hammock_program(taken_prob=0.9):
     b.ret()
     b.end_function()
     return b, b.finish()
+
+
+def reference_profile(
+    program,
+    behavior,
+    seeds: tuple[int, ...] = PROFILING_SEEDS,
+    max_transitions: int = 60_000,
+) -> EdgeProfile:
+    """The CFG-walking profile loop that ``collect_profile``'s row-table
+    walk must reproduce, counters in the same insertion order."""
+    profile = EdgeProfile()
+    cfg = program.cfg
+    for seed in seeds:
+        rng = random.Random(seed)
+        behavior.reset()
+        call_stack: list[int] = []
+        current = cfg.entry_block_id
+        for _ in range(max_transitions):
+            block = cfg.block(current)
+            profile.block_counts[current] += 1
+            kind = block.term_kind
+            if kind is TermKind.FALLTHROUGH:
+                nxt = block.fall_id
+                profile.edge_counts[(current, nxt)] += 1
+            elif kind is TermKind.COND:
+                nxt = behavior.decide_successor(block, rng)
+                profile.edge_counts[(current, nxt)] += 1
+            elif kind is TermKind.JUMP:
+                nxt = block.taken_id
+                profile.edge_counts[(current, nxt)] += 1
+            elif kind is TermKind.CALL:
+                # Layout edge to the return continuation; execution enters
+                # the callee.
+                profile.edge_counts[(current, block.fall_id)] += 1
+                call_stack.append(block.fall_id)
+                nxt = block.taken_id
+            else:  # RET
+                nxt = call_stack.pop() if call_stack else cfg.entry_block_id
+            current = nxt
+    return profile
 
 
 class TestProfile:
@@ -63,6 +108,31 @@ class TestProfile:
             workload.program, workload.behavior, seeds=(1,), max_transitions=5000
         )
         assert sum(profile.block_counts.values()) == 5000
+
+    def test_missing_branch_key_raises_key_error(self):
+        from repro.workloads import BehaviorModel
+
+        builder, program = hot_hammock_program()
+        probabilities = dict(builder.branch_probabilities)
+        probabilities.pop(program.cfg.conditional_blocks()[0].branch_key)
+        behavior = BehaviorModel.from_probabilities(probabilities)
+        with pytest.raises(KeyError, match="no behaviour for branch key"):
+            collect_profile(program, behavior, seeds=(1,))
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_matches_reference_walk_in_order(self, name):
+        from repro.experiments.common import variant_program
+
+        for variant in ("orig", "reordered"):
+            program, behavior = variant_program(name, variant)
+            expected = reference_profile(program, behavior)
+            profile = collect_profile(program, behavior)
+            assert list(profile.block_counts.items()) == list(
+                expected.block_counts.items()
+            ), variant
+            assert list(profile.edge_counts.items()) == list(
+                expected.edge_counts.items()
+            ), variant
 
 
 class TestTraceSelection:

@@ -1,5 +1,8 @@
 """Unit tests for basic blocks, the CFG, layout, and the builder."""
 
+import copy
+from dataclasses import fields
+
 import pytest
 
 from repro.isa import Instruction, OpClass
@@ -13,6 +16,7 @@ from repro.program import (
     TermKind,
     clone_cfg,
 )
+from repro.workloads.profiles import ALL_BENCHMARKS
 
 
 def simple_loop_program(trip_probability: float = 0.8) -> Program:
@@ -293,3 +297,58 @@ class TestLayoutEdgeCases:
             block = prog.cfg.block(block_id)
             if block.instructions:
                 assert block.instructions[0].address == start
+
+
+def _slots(obj, skip: tuple[str, ...] = ()) -> tuple:
+    return tuple(getattr(obj, f.name) for f in fields(obj) if f.name not in skip)
+
+
+def _cfg_fields(cfg: ControlFlowGraph) -> tuple:
+    """Every slot of *cfg*'s functions, blocks and instructions."""
+    return (
+        cfg.entry_func_id,
+        [_slots(func) for func in cfg.functions],
+        [
+            (
+                _slots(block, skip=("body", "terminator")),
+                [_slots(instr) for instr in block.body],
+                None if block.terminator is None else _slots(block.terminator),
+            )
+            for block in cfg.blocks
+        ],
+    )
+
+
+def _mutable_ids(cfg: ControlFlowGraph) -> dict[str, list[int]]:
+    """``id()``s of *cfg*'s mutable objects, by kind."""
+    return {
+        "instructions": [id(i) for b in cfg.blocks for i in b.instructions],
+        "blocks": [id(b) for b in cfg.blocks],
+        "bodies": [id(b.body) for b in cfg.blocks],
+        "functions": [id(f) for f in cfg.functions],
+        "block_id_lists": [id(f.block_ids) for f in cfg.functions],
+    }
+
+
+def _transformed_cfgs(name: str):
+    from repro.compiler import form_superblocks
+    from repro.experiments.common import variant_program
+    from repro.workloads import load_workload
+
+    workload = load_workload(name)
+    yield "orig", workload.program.cfg
+    yield "reordered", variant_program(name, "reordered")[0].cfg
+    yield "pad_trace", variant_program(name, "pad_trace")[0].cfg
+    superblocks = form_superblocks(workload.program, workload.behavior)
+    yield "superblock", superblocks.program.cfg
+
+
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+def test_clone_cfg_matches_deepcopy_and_shares_nothing(name):
+    for variant, cfg in _transformed_cfgs(name):
+        cloned = clone_cfg(cfg)
+        assert _cfg_fields(cloned) == _cfg_fields(copy.deepcopy(cfg)), variant
+        source_ids, clone_ids = _mutable_ids(cfg), _mutable_ids(cloned)
+        for kind, ids in clone_ids.items():
+            assert len(set(ids)) == len(ids), (variant, kind)  # nothing aliased
+            assert not set(ids) & set(source_ids[kind]), (variant, kind)
